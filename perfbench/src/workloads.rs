@@ -118,11 +118,13 @@ fn boot(args: &Args) -> Result<(Server, Metric), String> {
     Ok((last.expect("booted"), m("setup_s", setup, "s", SETUPS)))
 }
 
-/// Throughput as the upper decile of per-second completion counts. This
-/// host loses half its speed for seconds at a time to its neighbours; the
-/// best tenth of the seconds reads the rate the system sustains outside
-/// those episodes, and still falls when the system itself gets slower.
-fn calm_rate(done_ns: &[u64], wall_s: f64) -> f64 {
+/// Throughput as the median of the per-second completion counts over every
+/// whole second of the run (a partial last second is left out). The host's
+/// speed drifts by tens of percent over tens of seconds, evenly across the
+/// requests of a closed loop; the median over the whole run reads that drift
+/// more steadily than an upper decile, which follows whichever fast spell a
+/// run happened to catch.
+fn median_rate(done_ns: &[u64], wall_s: f64) -> f64 {
     let windows = ((wall_s * 1e9) as u64 / WINDOW_NS).max(1) as usize;
     let mut counts = vec![0f64; windows];
     for &t in done_ns {
@@ -130,8 +132,7 @@ fn calm_rate(done_ns: &[u64], wall_s: f64) -> f64 {
             *c += 1.0;
         }
     }
-    counts.sort_by(f64::total_cmp);
-    counts[(windows * 9) / 10] * 1e9 / WINDOW_NS as f64
+    stats::median(&counts).unwrap_or(0.0) * 1e9 / WINDOW_NS as f64
 }
 
 /// Values grouped into 1 s windows by their timestamp, each window sorted.
@@ -151,9 +152,9 @@ fn windows(samples: &[(u64, f64)]) -> Vec<Vec<f64>> {
     out
 }
 
-/// The latency median of the calm seconds: each 1 s window's p50, then the
-/// lower decile across windows (the same reading as [`calm_rate`]).
-fn calm_p50(samples: &[(u64, f64)]) -> Option<f64> {
+/// Each 1 s window's latency p50, ascending; `None` with fewer than five
+/// windows.
+fn window_p50s(samples: &[(u64, f64)]) -> Option<Vec<f64>> {
     let mut p50s: Vec<f64> = windows(samples)
         .iter()
         .filter_map(|w| percentile(w, 0.5))
@@ -162,6 +163,22 @@ fn calm_p50(samples: &[(u64, f64)]) -> Option<f64> {
         return None;
     }
     p50s.sort_by(f64::total_cmp);
+    Some(p50s)
+}
+
+/// The latency median of a closed loop or an offline pass: the median of
+/// the per-second p50s (the same reading as [`median_rate`]).
+fn median_p50(samples: &[(u64, f64)]) -> Option<f64> {
+    stats::median(&window_p50s(samples)?)
+}
+
+/// The latency median of the open loop's calm seconds: the lower decile of
+/// the per-second p50s. In an open loop a slow spell of the host does not
+/// slow the arrivals, so the backlog it builds inflates the seconds after
+/// it as well; the lower decile reads the service latency outside those
+/// spells, and still rises when the service itself gets slower.
+fn calm_p50(samples: &[(u64, f64)]) -> Option<f64> {
+    let p50s = window_p50s(samples)?;
     Some(p50s[(p50s.len() - 1) / 10])
 }
 
@@ -388,7 +405,7 @@ pub fn popular_hot(args: &Args) -> Result<Outcome, String> {
     let lat_mean_us = stats::mean(&samples.iter().map(|s| s.1 as f64 / 1e3).collect::<Vec<_>>());
 
     let timed_lat: Vec<(u64, f64)> = samples.iter().map(|&(t, l)| (t, l as f64 / 1e3)).collect();
-    let p50 = calm_p50(&timed_lat).ok_or("too few samples for a windowed p50")?;
+    let p50 = median_p50(&timed_lat).ok_or("too few samples for a windowed p50")?;
     let p99 = stats::median(
         &windows(&timed_lat)
             .iter()
@@ -396,7 +413,7 @@ pub fn popular_hot(args: &Args) -> Result<Outcome, String> {
             .collect::<Vec<_>>(),
     )
     .ok_or("too few samples for p99 per window")?;
-    let rate = calm_rate(&samples.iter().map(|s| s.0).collect::<Vec<_>>(), wall);
+    let rate = median_rate(&samples.iter().map(|s| s.0).collect::<Vec<_>>(), wall);
 
     let mut out = Outcome {
         attempted: sent + items.len(),
@@ -926,13 +943,13 @@ pub fn rob_eval(args: &Args) -> Result<Outcome, String> {
         ),
         m(
             "throughput_per_s",
-            calm_rate(&done, wall),
+            median_rate(&done, wall),
             "1/s",
             done.len(),
         ),
         m(
             "latency_p50_us",
-            calm_p50(
+            median_p50(
                 &log.iter()
                     .map(|&(t, ns)| (t, ns as f64 / 1e3))
                     .collect::<Vec<_>>(),
@@ -1066,4 +1083,36 @@ fn rob_eval_trace(
     }
     finish_trace(args, &requests, &mut out);
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const S: u64 = WINDOW_NS;
+
+    #[test]
+    fn median_rate_reads_the_typical_second_and_drops_the_partial_one() {
+        // Seconds 0..7 complete 100 each, seconds 7..10 only 10 each, and
+        // 5 more land in the partial eleventh second.
+        let mut done = Vec::new();
+        for sec in 0..10u64 {
+            let n = if sec < 7 { 100 } else { 10 };
+            done.extend((0..n).map(|i| sec * S + i * (S / n)));
+        }
+        done.extend((0..5).map(|i| 10 * S + i));
+        assert_eq!(median_rate(&done, 10.5), 100.0);
+    }
+
+    #[test]
+    fn windowed_p50s_take_the_median_or_the_calm_decile() {
+        // Ten seconds of 21 samples each; second k has every sample at k + 1.
+        let samples: Vec<(u64, f64)> = (0..10u64)
+            .flat_map(|k| (0..21).map(move |i| (k * S + i, (k + 1) as f64)))
+            .collect();
+        assert_eq!(median_p50(&samples), Some(5.5));
+        assert_eq!(calm_p50(&samples), Some(1.0));
+        // Fewer than five seconds: no reading.
+        assert_eq!(median_p50(&samples[..4 * 21]), None);
+    }
 }
