@@ -3,22 +3,42 @@
 //! One loop thread owns every socket: it accepts, accumulates request
 //! bytes into pooled buffers, runs the incremental parser
 //! ([`crate::http::parse_request`]), and writes queued response segments
-//! out with vectored (`writev`) writes. It never runs request logic —
-//! parsed requests go to a small dispatch thread pool that executes the
-//! *same* [`crate::server::handle_request`] path as the threaded driver
-//! (which is what keeps the two drivers byte-identical), and translation
-//! CPU still belongs to the [`crate::pool::WorkerPool`] beyond that. The
-//! loop's per-connection cost is a state enum, a read buffer, and an
-//! output queue — which is how tens of thousands of keep-alive sockets
-//! fit where thread-per-connection runs out of stacks.
+//! out with vectored (`writev`) writes. The loop's per-connection cost is
+//! a state enum, a read buffer, and an output queue — which is how tens of
+//! thousands of keep-alive sockets fit where thread-per-connection runs
+//! out of stacks.
+//!
+//! Request logic runs on the loop only where it cannot wait. A translate
+//! request (`POST /v1/translate`, `POST /v1/t/{tenant}/translate`) runs
+//! its front half there — parse, validate, cache lookup — and a fresh
+//! cache hit or a validation 4xx is answered on the spot, through the same
+//! trace, metrics and response code as every other request
+//! ([`crate::server::answer_on_loop`]). Everything that might block — a
+//! cache miss, a stream, every other route, and any request while a fault
+//! plan is armed — goes to a small dispatch thread pool that runs the rest
+//! with the same code as the threaded driver (which is what keeps the two
+//! drivers byte-identical). Translation CPU still belongs to the
+//! [`crate::pool::WorkerPool`] beyond that.
 //!
 //! Per-connection state machine:
 //!
 //! ```text
+//!                   ┌── hit or 4xx, answered on the loop ──────────────┐
+//!                   │                                                  ▼
 //! Reading ── parse complete ──▶ Dispatched ── response queued ──▶ Writing
-//!    ▲                              (job on dispatch thread)         │
-//!    └────────── KeepAlive ◀── queue drained, keep-alive ◀───────────┘
+//!    ▲                      (job on dispatch thread)                   │
+//!    └────────── KeepAlive ◀── queue drained, keep-alive ◀─────────────┘
 //! ```
+//!
+//! A drained keep-alive response moves straight on to the next buffered
+//! (pipelined) request, in a loop rather than by recursion. At most
+//! [`INLINE_BUDGET`] requests per connection are answered on the loop per
+//! readiness event; past that the connection waits for write readiness,
+//! which the level-triggered poller reports on the next turn, so one deep
+//! pipeline cannot starve the other sockets. A panic in loop-side request
+//! code is contained like a dispatch-thread panic: it counts in
+//! `t2v_worker_panics_total` and closes only that connection, and the
+//! loop's locks shrug off the poison it may leave.
 //!
 //! `Reading` and `KeepAlive` sockets are reaped after `conn_idle_ms`
 //! (default: `keep_alive_secs`) without progress — which covers both idle
@@ -35,13 +55,13 @@
 //! a slow peer), never the loop.
 
 use crate::http::{self, BodySink, Parse};
-use crate::server::{fd_exhausted, handle_request, write_read_error, Shared};
+use crate::server::{answer_on_loop, fd_exhausted, write_read_error, Deferred, OnLoop, Shared};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use t2v_net::{BufferPool, Event, Interest, Poller, Waker};
@@ -74,6 +94,17 @@ const DRAIN_BUDGET: Duration = Duration::from_secs(5);
 
 /// How long the listener stays parked after EMFILE/ENFILE.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
+
+/// Requests one connection may have answered on the loop thread per
+/// readiness event before the loop moves on to other sockets.
+const INLINE_BUDGET: u32 = 64;
+
+/// Lock a mutex the loop shares, ignoring poison: the data behind every
+/// such lock stays consistent across a panic (plain queues and flags), and
+/// a poisoned lock must not turn one panicked request into a dead loop.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 // ---------------------------------------------------------------------------
 // Response segments: dispatch threads → loop
@@ -108,6 +139,13 @@ struct OutState {
     closed: bool,
 }
 
+impl OutState {
+    fn enqueue(&mut self, seg: Seg) {
+        self.bytes += seg.as_slice().len();
+        self.segs.push_back(seg);
+    }
+}
+
 /// The per-connection output queue. The loop and the connection's dispatch
 /// thread share it; the condvar wakes a writer blocked on the high-water
 /// mark (or on `closed`).
@@ -135,7 +173,7 @@ struct ReactorShared {
 
 impl ReactorShared {
     fn notify(&self, token: u64) {
-        self.ready.lock().expect("ready list poisoned").push(token);
+        lock(&self.ready).push(token);
         self.waker.wake();
     }
 }
@@ -171,7 +209,7 @@ impl ConnWriter {
         if len == 0 {
             return Ok(());
         }
-        let mut st = self.out.state.lock().expect("conn out poisoned");
+        let mut st = lock(&self.out.state);
         loop {
             if st.closed {
                 return Err(io::Error::new(
@@ -182,10 +220,9 @@ impl ConnWriter {
             if st.bytes < OUT_HIGH_WATER {
                 break;
             }
-            st = self.out.cv.wait(st).expect("conn out poisoned");
+            st = self.out.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
-        st.bytes += len;
-        st.segs.push_back(seg);
+        st.enqueue(seg);
         drop(st);
         self.reactor.notify(self.token);
         Ok(())
@@ -212,7 +249,7 @@ impl ConnWriter {
         }
         self.finished = true;
         {
-            let mut st = self.out.state.lock().expect("conn out poisoned");
+            let mut st = lock(&self.out.state);
             st.done = Some(keep);
         }
         self.reactor.notify(self.token);
@@ -245,6 +282,56 @@ impl BodySink for ConnWriter {
     fn write_shared(&mut self, body: &Arc<Vec<u8>>) -> io::Result<()> {
         self.flush_buf()?;
         self.push(Seg::Shared(Arc::clone(body)))
+    }
+}
+
+/// The [`BodySink`] for a response answered on the loop thread. No
+/// dispatch job owns the connection then, so segments go straight into its
+/// queue — no high-water wait, no wake: the loop writes them out itself
+/// right after.
+struct LoopSink<'a> {
+    out: &'a ConnOut,
+    buf: Vec<u8>,
+}
+
+impl LoopSink<'_> {
+    fn new(out: &ConnOut) -> LoopSink<'_> {
+        LoopSink {
+            out,
+            buf: Vec::new(),
+        }
+    }
+
+    fn flush_buf(&mut self) {
+        if !self.buf.is_empty() {
+            lock(&self.out.state).enqueue(Seg::Owned(std::mem::take(&mut self.buf)));
+        }
+    }
+
+    /// Queue what is buffered and publish the keep-alive verdict.
+    fn seal(mut self, keep: bool) {
+        self.flush_buf();
+        lock(&self.out.state).done = Some(keep);
+    }
+}
+
+impl Write for LoopSink<'_> {
+    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+        self.buf.extend_from_slice(data);
+        Ok(data.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.flush_buf();
+        Ok(())
+    }
+}
+
+impl BodySink for LoopSink<'_> {
+    fn write_shared(&mut self, body: &Arc<Vec<u8>>) -> io::Result<()> {
+        self.flush_buf();
+        lock(&self.out.state).enqueue(Seg::Shared(Arc::clone(body)));
+        Ok(())
     }
 }
 
@@ -295,7 +382,7 @@ impl Dispatcher {
     }
 
     fn submit(&self, job: Job) {
-        let mut q = self.inner.queue.lock().expect("dispatch queue poisoned");
+        let mut q = lock(&self.inner.queue);
         q.push_back(job);
         drop(q);
         self.inner.cv.notify_one();
@@ -305,11 +392,7 @@ impl Dispatcher {
     /// the connections as closed), finish running ones, join.
     fn shutdown(self) {
         self.inner.stop.store(true, Ordering::Release);
-        self.inner
-            .queue
-            .lock()
-            .expect("dispatch queue poisoned")
-            .clear();
+        lock(&self.inner.queue).clear();
         self.inner.cv.notify_all();
         for h in self.threads {
             let _ = h.join();
@@ -320,7 +403,7 @@ impl Dispatcher {
 fn dispatch_loop(inner: &DispatchInner, metrics: &crate::metrics::Metrics) {
     loop {
         let job = {
-            let mut q = inner.queue.lock().expect("dispatch queue poisoned");
+            let mut q = lock(&inner.queue);
             loop {
                 if let Some(job) = q.pop_front() {
                     break job;
@@ -328,7 +411,7 @@ fn dispatch_loop(inner: &DispatchInner, metrics: &crate::metrics::Metrics) {
                 if inner.stop.load(Ordering::Acquire) {
                     return;
                 }
-                q = inner.cv.wait(q).expect("dispatch queue poisoned");
+                q = inner.cv.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
         };
         // Same containment as `pool::worker_loop`: a panicking request
@@ -574,10 +657,11 @@ fn run_loop(
                             conn.interest = Interest::NONE; // force re-apply
                             set_interest(&ctx, conn, want);
                         }
-                        if ev.readable || ev.read_closed {
-                            next = on_readable(&ctx, conn, &mut scratch);
+                        let readable = ev.readable || ev.read_closed;
+                        if readable {
+                            next = on_readable(conn, &mut scratch);
                         }
-                        if next == Next::Alive && ev.writable {
+                        if next == Next::Alive && (readable || ev.writable) {
                             next = pump(&ctx, conn);
                         }
                     }
@@ -589,7 +673,7 @@ fn run_loop(
         }
 
         // -- connections whose dispatch jobs produced output or finished --
-        let ready = std::mem::take(&mut *reactor.ready.lock().expect("ready list poisoned"));
+        let ready = std::mem::take(&mut *lock(&reactor.ready));
         for token in ready {
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
@@ -737,9 +821,9 @@ fn set_interest(ctx: &Ctx<'_>, conn: &mut Conn, want: Interest) {
     }
 }
 
-/// Drain the socket into the connection's input buffer, then try to make
-/// parse progress.
-fn on_readable(ctx: &Ctx<'_>, conn: &mut Conn, scratch: &mut [u8]) -> Next {
+/// Drain the socket into the connection's input buffer. Parse progress is
+/// [`pump`]'s job.
+fn on_readable(conn: &mut Conn, scratch: &mut [u8]) -> Next {
     if !conn.idle() {
         // Interest is parked while a request executes; a stray readiness
         // report (or RDHUP delivery) changes nothing here.
@@ -763,15 +847,29 @@ fn on_readable(ctx: &Ctx<'_>, conn: &mut Conn, scratch: &mut [u8]) -> Next {
             Err(_) => return Next::Close,
         }
     }
-    try_advance(ctx, conn)
+    Next::Alive
 }
 
-/// Parse progress on `Reading`/`KeepAlive` connections: dispatch a
-/// complete request, answer a malformed one, map peer-EOF onto the
-/// blocking reader's truncation semantics, or keep waiting.
-fn try_advance(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
-    if !conn.idle() {
-        return Next::Alive;
+/// What [`try_advance`] did with an idle connection's input.
+enum Advance {
+    /// A response is queued (answered on the loop, or a parse error): write it.
+    Queued,
+    /// Nothing to write yet: a request went to a dispatch thread, more
+    /// bytes are needed, or the inline budget is spent.
+    Parked,
+    Close,
+}
+
+/// Parse progress on `Reading`/`KeepAlive` connections: answer a complete
+/// request on the loop or dispatch it, answer a malformed one, map
+/// peer-EOF onto the blocking reader's truncation semantics, or keep
+/// waiting.
+fn try_advance(ctx: &Ctx<'_>, conn: &mut Conn, budget: &mut u32) -> Advance {
+    if *budget == 0 && !conn.inbuf.is_empty() {
+        // Back to epoll; write readiness re-offers this connection on the
+        // next turn, after every other ready socket has had its go.
+        set_interest(ctx, conn, Interest::READ_WRITE);
+        return Advance::Parked;
     }
     if !conn.inbuf.is_empty() && conn.t0.is_none() {
         // The trace clock starts at the first byte of each request —
@@ -783,95 +881,160 @@ fn try_advance(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
             conn.inbuf.drain(..consumed);
             let t0 = conn.t0.take().unwrap_or_else(Instant::now);
             let read_dur = t0.elapsed();
-            conn.state = ConnState::Dispatched;
-            set_interest(ctx, conn, Interest::NONE);
-            let writer =
-                ConnWriter::new(Arc::clone(&conn.out), Arc::clone(ctx.reactor), conn.token);
-            let shared = Arc::clone(ctx.shared);
-            shared.dispatch_depth.fetch_add(1, Ordering::Relaxed);
-            ctx.dispatcher.submit(Box::new(move || {
-                shared.dispatch_depth.fetch_sub(1, Ordering::Relaxed);
-                let mut writer = writer;
-                let keep = handle_request(&shared, &req, t0, read_dur, &mut writer);
-                writer.finish(keep);
-            }));
-            Next::Alive
+            start_request(ctx, conn, *req, t0, read_dur, budget)
         }
         Parse::NeedHead if conn.peer_eof => {
             if conn.inbuf.is_empty() {
                 // Clean EOF between requests — the threaded driver's
                 // silent-close path.
-                Next::Close
+                Advance::Close
             } else {
                 // Truncated head: answer the exact 400 the blocking
                 // reader produces at EOF, then close.
-                let err = http::truncation_error(&conn.inbuf);
-                let mut bytes: Vec<u8> = Vec::new();
-                write_read_error(ctx.shared, &err, &mut bytes);
-                queue_error_close(ctx, conn, bytes)
+                queue_error_close(ctx, conn, &http::truncation_error(&conn.inbuf))
             }
         }
         // A short body at EOF is a transport error in the blocking
         // reader — no response, just a hangup.
-        Parse::NeedBody if conn.peer_eof => Next::Close,
+        Parse::NeedBody if conn.peer_eof => Advance::Close,
         Parse::NeedHead | Parse::NeedBody => {
             conn.state = ConnState::Reading;
             set_interest(ctx, conn, Interest::READ);
-            Next::Alive
+            Advance::Parked
         }
-        Parse::Err(err) => {
-            let mut bytes: Vec<u8> = Vec::new();
-            write_read_error(ctx.shared, &err, &mut bytes);
-            queue_error_close(ctx, conn, bytes)
+        Parse::Err(err) => queue_error_close(ctx, conn, &err),
+    }
+}
+
+/// Answer a parsed request on the loop when its front half can, else hand
+/// it to a dispatch thread. Loop-side request code runs under the
+/// dispatcher's panic containment: a panic counts as a worker panic and
+/// closes this connection only.
+fn start_request(
+    ctx: &Ctx<'_>,
+    conn: &mut Conn,
+    req: http::Request,
+    t0: Instant,
+    read_dur: Duration,
+    budget: &mut u32,
+) -> Advance {
+    let metrics = &ctx.shared.state.metrics;
+    let started = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut sink = LoopSink::new(&conn.out);
+        match answer_on_loop(ctx.shared, req, t0, read_dur, &mut sink) {
+            OnLoop::Answered(keep) => {
+                sink.seal(keep);
+                None
+            }
+            OnLoop::Deferred(deferred) => Some(deferred),
+        }
+    }));
+    match started {
+        Err(_) => {
+            metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
+            Advance::Close
+        }
+        Ok(None) => {
+            metrics.loop_answered.fetch_add(1, Ordering::Relaxed);
+            *budget -= 1;
+            conn.state = ConnState::Writing;
+            Advance::Queued
+        }
+        Ok(Some(deferred)) => {
+            dispatch(ctx, conn, deferred);
+            Advance::Parked
         }
     }
 }
 
-/// Queue pre-rendered error bytes and seal the connection for close —
-/// the loop-thread equivalent of `write_read_error` + return.
-fn queue_error_close(ctx: &Ctx<'_>, conn: &mut Conn, bytes: Vec<u8>) -> Next {
-    {
-        let mut st = conn.out.state.lock().expect("conn out poisoned");
-        st.bytes += bytes.len();
-        st.segs.push_back(Seg::Owned(bytes));
-        st.done = Some(false);
-    }
+/// Hand a request to a dispatch thread and park the socket until its
+/// response comes back through the ready list.
+fn dispatch(ctx: &Ctx<'_>, conn: &mut Conn, deferred: Box<Deferred>) {
+    conn.state = ConnState::Dispatched;
+    set_interest(ctx, conn, Interest::NONE);
+    let writer = ConnWriter::new(Arc::clone(&conn.out), Arc::clone(ctx.reactor), conn.token);
+    let shared = Arc::clone(ctx.shared);
+    shared.dispatch_depth.fetch_add(1, Ordering::Relaxed);
+    ctx.dispatcher.submit(Box::new(move || {
+        shared.dispatch_depth.fetch_sub(1, Ordering::Relaxed);
+        let mut writer = writer;
+        let keep = deferred.run(&shared, &mut writer);
+        writer.finish(keep);
+    }));
+}
+
+/// Queue the error response for an unreadable request and seal the
+/// connection for close — the loop-thread equivalent of
+/// `write_read_error` + return.
+fn queue_error_close(ctx: &Ctx<'_>, conn: &mut Conn, err: &http::ReadError) -> Advance {
+    let mut sink = LoopSink::new(&conn.out);
+    write_read_error(ctx.shared, err, &mut sink);
+    sink.seal(false);
     conn.state = ConnState::Writing;
-    pump(ctx, conn)
+    Advance::Queued
 }
 
-/// Push queued output at the socket with vectored writes; on completion,
-/// apply the keep-alive verdict (and immediately try any pipelined
-/// follower already buffered).
+/// Make every bit of progress the connection allows right now: start the
+/// next buffered request, write queued output, and once a keep-alive
+/// response has fully drained, move on to the pipelined follower. A loop,
+/// not recursion, so a deep pipeline costs no stack; [`INLINE_BUDGET`]
+/// bounds how many requests it answers per call.
 fn pump(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
+    let mut budget = INLINE_BUDGET;
     loop {
-        let mut st = conn.out.state.lock().expect("conn out poisoned");
+        if conn.idle() {
+            match try_advance(ctx, conn, &mut budget) {
+                Advance::Queued => {}
+                Advance::Parked => return Next::Alive,
+                Advance::Close => return Next::Close,
+            }
+        }
+        match flush(ctx, conn) {
+            Flushed::Pending => return Next::Alive,
+            Flushed::Close => return Next::Close,
+            Flushed::Done(keep) => {
+                if !keep || ctx.draining || ctx.shared.shutdown.load(Ordering::Acquire) {
+                    return Next::Close;
+                }
+                conn.state = ConnState::KeepAlive;
+                conn.t0 = None;
+                conn.last_activity = Instant::now();
+                set_interest(ctx, conn, Interest::READ);
+            }
+        }
+    }
+}
+
+/// What [`flush`] left behind.
+enum Flushed {
+    /// More output is coming (the request is still executing) or the
+    /// socket is full; interest is armed accordingly.
+    Pending,
+    /// The response is sealed and fully written; keep the connection?
+    Done(bool),
+    Close,
+}
+
+/// Push queued output at the socket with vectored writes.
+fn flush(ctx: &Ctx<'_>, conn: &mut Conn) -> Flushed {
+    loop {
+        let mut st = lock(&conn.out.state);
         if st.segs.is_empty() {
             // Consumed, not read: the verdict belongs to exactly one
             // request — a follower on the same connection starts clean.
             let done = st.done.take();
             drop(st);
-            match done {
+            return match done {
+                Some(keep) => Flushed::Done(keep),
                 None => {
                     // Still executing (a stream mid-relay, or the job has
                     // not finished); nothing to write right now.
                     if conn.state == ConnState::Dispatched {
                         set_interest(ctx, conn, Interest::NONE);
                     }
-                    return Next::Alive;
+                    Flushed::Pending
                 }
-                Some(keep) => {
-                    if !keep || ctx.draining || ctx.shared.shutdown.load(Ordering::Acquire) {
-                        return Next::Close;
-                    }
-                    conn.state = ConnState::KeepAlive;
-                    conn.t0 = None;
-                    conn.last_activity = Instant::now();
-                    set_interest(ctx, conn, Interest::READ);
-                    // A pipelined follower may already be buffered.
-                    return try_advance(ctx, conn);
-                }
-            }
+            };
         }
         if conn.state == ConnState::Dispatched && st.done.is_some() {
             conn.state = ConnState::Writing;
@@ -889,7 +1052,7 @@ fn pump(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
             (&conn.stream).write_vectored(&iov)
         };
         match written {
-            Ok(0) => return Next::Close,
+            Ok(0) => return Flushed::Close,
             Ok(mut n) => {
                 st.bytes -= n;
                 while n > 0 {
@@ -909,16 +1072,11 @@ fn pump(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 drop(st);
-                let want = if conn.idle() {
-                    Interest::READ_WRITE
-                } else {
-                    Interest::WRITE
-                };
-                set_interest(ctx, conn, want);
-                return Next::Alive;
+                set_interest(ctx, conn, Interest::WRITE);
+                return Flushed::Pending;
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return Next::Close,
+            Err(_) => return Flushed::Close,
         }
     }
 }
@@ -938,7 +1096,7 @@ fn close_conn(
     };
     let _ = poller.deregister(conn.stream.as_raw_fd());
     {
-        let mut st = conn.out.state.lock().expect("conn out poisoned");
+        let mut st = lock(&conn.out.state);
         st.closed = true;
         st.segs.clear();
         st.bytes = 0;
@@ -951,4 +1109,123 @@ fn close_conn(
     }
     metrics.connections_active.fetch_sub(1, Ordering::AcqRel);
     // `conn.stream` drops here, closing the fd.
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pool::WorkerPool;
+    use crate::server::{EventStats, ServerState};
+    use crate::ServeConfig;
+    use std::sync::atomic::AtomicU64;
+
+    fn test_shared() -> Arc<Shared> {
+        let corpus = t2v_corpus::generate(&t2v_corpus::CorpusConfig::tiny(7));
+        let mut config = ServeConfig::default();
+        config.set("backends", "gred").unwrap();
+        let state = Arc::new(ServerState::from_corpus(&corpus, config).expect("state builds"));
+        let pool = WorkerPool::new(1, 1, 4, Arc::clone(&state.metrics));
+        Arc::new(Shared {
+            state,
+            pool,
+            shutdown: AtomicBool::new(false),
+            dispatch_depth: AtomicU64::new(0),
+            obs: None,
+            event_stats: EventStats::default(),
+        })
+    }
+
+    #[test]
+    fn a_poisoned_conn_out_lock_leaves_pump_and_close_working() {
+        let shared = test_shared();
+        let poller = Poller::new().unwrap();
+        let reactor = Arc::new(ReactorShared {
+            waker: Waker::new(&poller, TOKEN_WAKER).unwrap(),
+            ready: Mutex::new(Vec::new()),
+        });
+        let dispatcher = Dispatcher::spawn(1, Arc::clone(&shared.state.metrics));
+        let ctx = Ctx {
+            shared: &shared,
+            poller: &poller,
+            dispatcher: &dispatcher,
+            reactor: &reactor,
+            max_body: 1 << 20,
+            draining: false,
+        };
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let token = FIRST_CONN_TOKEN;
+        poller
+            .register(stream.as_raw_fd(), token, Interest::READ)
+            .unwrap();
+        shared
+            .state
+            .metrics
+            .connections_active
+            .fetch_add(1, Ordering::AcqRel);
+        let mut pool = BufferPool::new(1024, 4);
+        let mut conns = HashMap::new();
+        conns.insert(
+            token,
+            Conn {
+                stream,
+                token,
+                state: ConnState::Dispatched,
+                inbuf: pool.take(),
+                out: ConnOut::new(),
+                t0: None,
+                last_activity: Instant::now(),
+                peer_eof: false,
+                rdhup: false,
+                interest: Interest::READ,
+            },
+        );
+
+        // A response is sealed, then a panic poisons the queue's mutex.
+        let out = Arc::clone(&conns[&token].out);
+        {
+            let mut st = lock(&out.state);
+            st.enqueue(Seg::Owned(b"first".to_vec()));
+            st.done = Some(true);
+        }
+        let poisoner = Arc::clone(&out);
+        let _ = std::thread::spawn(move || {
+            let _held = poisoner.state.lock().unwrap();
+            panic!("poison the connection's output queue");
+        })
+        .join();
+        assert!(out.state.is_poisoned());
+
+        // The loop still writes the response and parks for the next one.
+        let conn = conns.get_mut(&token).unwrap();
+        assert!(pump(&ctx, conn) == Next::Alive);
+        assert!(conn.idle());
+        let mut got = [0u8; 5];
+        client.read_exact(&mut got).unwrap();
+        assert_eq!(&got, b"first");
+
+        // And it still tears the connection down cleanly.
+        close_conn(&mut conns, &poller, &mut pool, &shared, token, false);
+        assert!(conns.is_empty());
+        assert!(lock(&out.state).closed);
+        let mut rest = Vec::new();
+        client.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty());
+        assert_eq!(
+            shared
+                .state
+                .metrics
+                .connections_active
+                .load(Ordering::Acquire),
+            0
+        );
+        dispatcher.shutdown();
+        shared.pool.shutdown();
+    }
 }

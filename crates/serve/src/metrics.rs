@@ -303,6 +303,9 @@ pub struct Metrics {
     /// Jobs that panicked inside a worker (caught; the worker survived and
     /// the caller's reply slot was fulfilled with a structured error).
     pub worker_panics: AtomicU64,
+    /// Requests the event loop answered on its own thread (translate cache
+    /// hits and validation errors), without a dispatch-thread hop.
+    pub loop_answered: AtomicU64,
     /// Requests answered 504 because their deadline budget ran out.
     pub deadline_exceeded: AtomicU64,
     /// Requests answered degraded (stale cache / fallback backend).
@@ -358,6 +361,7 @@ impl Metrics {
             accept_errors: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
+            loop_answered: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
             breaker_opens: AtomicU64::new(0),
@@ -571,6 +575,13 @@ impl Metrics {
                 "counter",
                 "Worker jobs that panicked (caught and answered 500).",
                 &self.worker_panics,
+            ),
+            (
+                "t2v_loop_answered_total",
+                "counter",
+                "Requests answered on the event-loop thread (translate cache hits \
+                 and validation errors).",
+                &self.loop_answered,
             ),
             (
                 "t2v_deadline_exceeded_total",

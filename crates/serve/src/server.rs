@@ -1301,8 +1301,11 @@ pub(crate) fn write_read_error<W: BodySink + ?Sized>(
 
 /// Serve one parsed request end to end — trace setup, routing, response
 /// write, trace publication — and say whether the connection may carry
-/// another. Both connection drivers funnel through this one function,
-/// which is what keeps their response bytes identical by construction.
+/// another. The threaded driver runs every request through here, and the
+/// event driver every request it does not finish on its loop thread (see
+/// [`answer_on_loop`]); both paths share [`start_trace`] and
+/// [`finish_request`], which is what keeps their response bytes identical
+/// by construction.
 pub(crate) fn handle_request<W: BodySink + ?Sized>(
     shared: &Shared,
     req: &Request,
@@ -1310,13 +1313,29 @@ pub(crate) fn handle_request<W: BodySink + ?Sized>(
     read_dur: Duration,
     writer: &mut W,
 ) -> bool {
-    // Trace setup (DESIGN.md §12). Every request gets an id (it rides
-    // the `x-t2v-trace-id` header regardless); spans are recorded only
-    // when something could consume them — the client forced it, the
-    // sampler hit, the slow/error override is armed, or the access log
-    // needs per-stage timings. With `trace_sample=0
-    // trace_force_slow_ms=0` and no access log, the whole machinery is
-    // id generation plus no-op guards.
+    let rt = start_trace(shared, req, t0, read_dur);
+    let scope = rt.trace.scope();
+    let (route, handled) = respond(shared, req, writer);
+    finish_request(shared, req, rt, scope, route, handled, writer)
+}
+
+/// One request's trace, started before routing and sealed by
+/// [`finish_request`]. `Send`, so a translate request whose front half ran
+/// on the event loop carries it to the dispatch thread that runs the rest.
+pub(crate) struct RequestTrace {
+    trace: Trace,
+    t0: Instant,
+    force: bool,
+    sampled: bool,
+}
+
+/// Trace setup (DESIGN.md §12). Every request gets an id (it rides the
+/// `x-t2v-trace-id` header regardless); spans are recorded only when
+/// something could consume them — the client forced it, the sampler hit,
+/// the slow/error override is armed, or the access log needs per-stage
+/// timings. With `trace_sample=0 trace_force_slow_ms=0` and no access log,
+/// the whole machinery is id generation plus no-op guards.
+fn start_trace(shared: &Shared, req: &Request, t0: Instant, read_dur: Duration) -> RequestTrace {
     let config = &shared.state.config;
     let force = req
         .header("x-t2v-trace")
@@ -1329,10 +1348,35 @@ pub(crate) fn handle_request<W: BodySink + ?Sized>(
         || shared.state.access_log.is_some();
     let trace = Trace::start_at(trace_id, record, t0);
     trace.add_span(Stage::ConnRead, t0, read_dur);
-    let scope = trace.scope();
+    RequestTrace {
+        trace,
+        t0,
+        force,
+        sampled,
+    }
+}
 
+/// Answer one routed request: count it, seal its trace, write the response
+/// (or the trailing trace line of a stream), and publish the trace. `scope`
+/// is the request's trace installed on this thread. Returns whether the
+/// connection may carry another request.
+fn finish_request<W: BodySink + ?Sized>(
+    shared: &Shared,
+    req: &Request,
+    rt: RequestTrace,
+    scope: t2v_trace::ScopeGuard,
+    route: Route,
+    handled: Handled,
+    writer: &mut W,
+) -> bool {
+    let RequestTrace {
+        trace,
+        t0,
+        force,
+        sampled,
+    } = rt;
+    let trace_id = trace.id();
     let keep = !req.wants_close();
-    let (route, handled) = respond(shared, req, writer);
     match handled {
         Handled::Reply(resp) => {
             // Chaos seam: a `conn.write_stall` fault delays the response
@@ -1397,6 +1441,94 @@ pub(crate) fn handle_request<W: BodySink + ?Sized>(
                 publish_trace(shared, req, force, sampled, f);
             }
             false
+        }
+    }
+}
+
+/// What the event loop did with a parsed request (see [`answer_on_loop`]).
+pub(crate) enum OnLoop {
+    /// Answered and written into the loop's sink; the flag says whether
+    /// the connection may carry another request.
+    Answered(bool),
+    /// Needs the worker pool, or might block: run [`Deferred::run`] on a
+    /// dispatch thread.
+    Deferred(Box<Deferred>),
+}
+
+/// A request the event loop hands to a dispatch thread. Either untouched
+/// (`front: None`, routed there from scratch) or a translate request whose
+/// front half already ran on the loop: its trace, route and resolved item
+/// ride along, so nothing is parsed, looked up, counted or traced twice.
+pub(crate) struct Deferred {
+    req: Request,
+    t0: Instant,
+    read_dur: Duration,
+    front: Option<(RequestTrace, Route, Pending)>,
+}
+
+impl Deferred {
+    /// Serve the rest of the request and write its response; returns
+    /// whether the connection may carry another.
+    pub(crate) fn run<W: BodySink + ?Sized>(self, shared: &Shared, writer: &mut W) -> bool {
+        match self.front {
+            None => handle_request(shared, &self.req, self.t0, self.read_dur, writer),
+            Some((rt, route, pending)) => {
+                let scope = rt.trace.scope();
+                let handled = translate_back(shared, pending, writer);
+                finish_request(shared, &self.req, rt, scope, route, handled, writer)
+            }
+        }
+    }
+}
+
+/// The event loop's entry point for a parsed request. Translate routes run
+/// their front half here, on the loop thread: a fresh cache hit or a
+/// validation 4xx is answered into `writer` through the same
+/// [`finish_request`] as every other response. Everything else — a miss,
+/// a stale entry, `stream`, other routes — comes back as [`Deferred`].
+/// While a fault plan is armed every request is deferred: the
+/// `conn.write_stall` point sleeps inside [`finish_request`], and the loop
+/// must never sleep.
+pub(crate) fn answer_on_loop<W: BodySink + ?Sized>(
+    shared: &Shared,
+    req: Request,
+    t0: Instant,
+    read_dur: Duration,
+    writer: &mut W,
+) -> OnLoop {
+    let target = if t2v_fault::is_armed() {
+        None
+    } else {
+        translate_route(shared, &req)
+    };
+    let Some((route, tenant)) = target else {
+        return OnLoop::Deferred(Box::new(Deferred {
+            req,
+            t0,
+            read_dur,
+            front: None,
+        }));
+    };
+    let rt = start_trace(shared, &req, t0, read_dur);
+    let scope = rt.trace.scope();
+    match translate_front(shared, &req, &tenant) {
+        Front::Done(resp) => OnLoop::Answered(finish_request(
+            shared,
+            &req,
+            rt,
+            scope,
+            route,
+            Handled::Reply(resp),
+            writer,
+        )),
+        Front::Pending(pending) => {
+            drop(scope);
+            OnLoop::Deferred(Box::new(Deferred {
+                req,
+                t0,
+                read_dur,
+                front: Some((rt, route, pending)),
+            }))
         }
     }
 }
@@ -1494,7 +1626,10 @@ fn respond<W: BodySink + ?Sized>(
     writer: &mut W,
 ) -> (Route, Handled) {
     let reply = |route: Route, resp: Response| (route, Handled::Reply(resp));
-    // Tenant-scoped routes first: /v1/t/{tenant}/{sub}.
+    if let Some((route, tenant)) = translate_route(shared, req) {
+        return (route, translate_endpoint(shared, req, writer, &tenant));
+    }
+    // Tenant-scoped routes: /v1/t/{tenant}/{sub}.
     if let Some(rest) = req.path.strip_prefix("/v1/t/") {
         let Some((tenant_id, sub)) = rest.split_once('/') else {
             return reply(Route::Tenant, Response::error(404, "no such route"));
@@ -1514,10 +1649,6 @@ fn respond<W: BodySink + ?Sized>(
             );
         };
         return match (req.method.as_str(), sub) {
-            ("POST", "translate") => {
-                let (_, handled) = translate_endpoint(shared, req, writer, tenant);
-                (Route::Tenant, handled)
-            }
             ("POST", "translate/batch") => {
                 reply(Route::Tenant, batch_endpoint(shared, req, tenant))
             }
@@ -1569,9 +1700,6 @@ fn respond<W: BodySink + ?Sized>(
         ("DELETE", "/v1/admin/tenants/detach") => {
             reply(Route::Admin, admin_tenants_detach(&shared.state, req))
         }
-        ("POST", "/v1/translate") => {
-            translate_endpoint(shared, req, writer, &shared.state.default_tenant)
-        }
         ("POST", "/v1/translate/batch") => reply(
             Route::TranslateBatch,
             batch_endpoint(shared, req, &shared.state.default_tenant),
@@ -1596,6 +1724,27 @@ fn respond<W: BodySink + ?Sized>(
         ) => reply(Route::Other, Response::error(405, "method not allowed")),
         _ => reply(Route::Other, Response::error(404, "no such route")),
     }
+}
+
+/// The route and tenant of a single-translate request: `POST
+/// /v1/translate` or `POST /v1/t/{tenant}/translate` for a known tenant.
+/// `None` for anything else, which [`respond`] routes on its own.
+fn translate_route(shared: &Shared, req: &Request) -> Option<(Route, Arc<TenantRuntime>)> {
+    if req.method != "POST" {
+        return None;
+    }
+    if req.path == "/v1/translate" {
+        return Some((Route::Translate, Arc::clone(&shared.state.default_tenant)));
+    }
+    let tenant_id = req
+        .path
+        .strip_prefix("/v1/t/")?
+        .strip_suffix("/translate")?;
+    if tenant_id.contains('/') {
+        return None;
+    }
+    let tenant = shared.state.tenants().get(tenant_id).map(Arc::clone)?;
+    Some((Route::Tenant, tenant))
 }
 
 /// Serialise one sealed trace as the wire span tree (admin endpoints, the
@@ -1858,6 +2007,10 @@ fn admin_status(shared: &Shared) -> Response {
                 (
                     "draining",
                     Json::Bool(shared.event_stats.draining.load(Ordering::Relaxed) != 0),
+                ),
+                (
+                    "loop_answered",
+                    Json::Num(state.metrics.loop_answered.load(Ordering::Relaxed) as f64),
                 ),
             ]),
         ),
@@ -2673,65 +2826,121 @@ fn submit_translation(
 }
 
 /// `POST /v1/translate` (and `/v1/t/{tenant}/translate`) — single
-/// translation against `tenant`, optionally streamed.
+/// translation against `tenant`, optionally streamed: the front half, then
+/// the back half when the front half could not answer.
 fn translate_endpoint<W: BodySink + ?Sized>(
     shared: &Shared,
     req: &Request,
     writer: &mut W,
     tenant: &Arc<TenantRuntime>,
-) -> (Route, Handled) {
+) -> Handled {
+    match translate_front(shared, req, tenant) {
+        Front::Done(resp) => Handled::Reply(resp),
+        Front::Pending(pending) => translate_back(shared, pending, writer),
+    }
+}
+
+/// How far the translate front half got.
+enum Front {
+    /// Answered without the pool: a fresh cache hit or a validation 4xx.
+    Done(Response),
+    /// A miss, a stale entry, or a stream: the back half takes it from here.
+    Pending(Pending),
+}
+
+/// A validated translate request the cache could not answer.
+pub(crate) struct Pending {
+    item: Item,
+    key: CacheKey,
+    deadline: Option<Instant>,
+    started: Instant,
+    stream: bool,
+}
+
+/// The translate front half, which never waits: parse and validate the
+/// body, resolve the item, fix the deadline, and answer from the cache
+/// when it holds a fresh body. Counts the cache hit or miss. The event
+/// loop runs this on its own thread (see [`answer_on_loop`]).
+fn translate_front(shared: &Shared, req: &Request, tenant: &Arc<TenantRuntime>) -> Front {
     let started = Instant::now();
     let state = &shared.state;
-    let reply = |resp: Response| (Route::Translate, Handled::Reply(resp));
+    let fail = |status: u16, message: &str| Front::Done(Response::error(status, message));
 
-    // ---- parse + validate ----
     let body_text = match std::str::from_utf8(&req.body) {
         Ok(t) => t,
-        Err(_) => return reply(Response::error(400, "body is not UTF-8")),
+        Err(_) => return fail(400, "body is not UTF-8"),
     };
     let parsed = match Json::parse(body_text) {
         Ok(j) => j,
-        Err(e) => return reply(Response::error(400, &format!("invalid JSON: {e}"))),
+        Err(e) => return fail(400, &format!("invalid JSON: {e}")),
     };
     let stream = match parsed.get("stream") {
         None => false,
         Some(v) => match v.as_bool() {
             Some(b) => b,
-            None => return reply(Response::error(400, "field 'stream' must be a boolean")),
+            None => return fail(400, "field 'stream' must be a boolean"),
         },
     };
     let item = match resolve_item(tenant, &parsed) {
         Ok(item) => item,
-        Err(resp) => return reply(resp),
+        Err(resp) => return Front::Done(resp),
     };
     let deadline = request_deadline(&state.config, req, started);
-
-    if stream {
-        return stream_endpoint(shared, item, writer, deadline);
-    }
-
-    // ---- cache fast path (connection thread, no queueing) ----
-    // `lookup` (not `get`) so an expired entry survives in place: if the
-    // breaker rejects the recompute below, `stale_degraded_body` serves it.
     let key = item.cache_key();
-    let lookup = {
-        let _span = t2v_trace::span(Stage::CacheLookup);
-        state.cache.lookup(&key)
-    };
-    if let crate::cache::Lookup::Fresh(hit) = lookup {
-        item.record_cache(state, true);
-        state
-            .metrics
-            .request_total_latency
-            .observe_ns(started.elapsed().as_nanos() as u64);
-        // The Arc goes straight into the response — no body copy on a hit.
-        return reply(
-            Response::json(200, hit)
-                .with_header("x-t2v-cache", "hit")
-                .with_header("x-t2v-backend", item.backend_id.clone()),
-        );
+
+    // A stream bypasses the cache read: a cached body has no stages left
+    // to stream. Otherwise `lookup` (not `get`), so an expired entry
+    // survives in place: if the breaker rejects the recompute in the back
+    // half, `stale_degraded_body` serves it.
+    if !stream {
+        let lookup = {
+            let _span = t2v_trace::span(Stage::CacheLookup);
+            state.cache.lookup(&key)
+        };
+        if let crate::cache::Lookup::Fresh(hit) = lookup {
+            item.record_cache(state, true);
+            state
+                .metrics
+                .request_total_latency
+                .observe_ns(started.elapsed().as_nanos() as u64);
+            // The Arc goes straight into the response — no body copy on a hit.
+            return Front::Done(
+                Response::json(200, hit)
+                    .with_header("x-t2v-cache", "hit")
+                    .with_header("x-t2v-backend", item.backend_id.clone()),
+            );
+        }
     }
     item.record_cache(state, false);
+    Front::Pending(Pending {
+        item,
+        key,
+        deadline,
+        started,
+        stream,
+    })
+}
+
+/// The translate back half: breaker admission, the pool round trip and its
+/// wait, stale or fallback degradation, or the NDJSON stream. Blocks, so it
+/// runs on a connection or dispatch thread, never on the event loop.
+fn translate_back<W: BodySink + ?Sized>(
+    shared: &Shared,
+    pending: Pending,
+    writer: &mut W,
+) -> Handled {
+    let Pending {
+        item,
+        key,
+        deadline,
+        started,
+        stream,
+    } = pending;
+    if stream {
+        return stream_endpoint(shared, item, key, writer, deadline);
+    }
+    let state = &shared.state;
+    let reply = Handled::Reply;
 
     // ---- breaker admission, then the CPU stage through the bounded pool ----
     let admission = {
@@ -2904,12 +3113,11 @@ fn gred_fallback(shared: &Shared, item: &Item, deadline: Option<Instant>) -> Opt
 fn stream_endpoint<W: BodySink + ?Sized>(
     shared: &Shared,
     item: Item,
+    key: CacheKey,
     writer: &mut W,
     deadline: Option<Instant>,
-) -> (Route, Handled) {
+) -> Handled {
     let state = &shared.state;
-    let key = item.cache_key();
-    item.record_cache(state, false);
     let admission = item.tenant.breakers[item.backend_idx].admit();
     if let Admission::Reject { retry_after_ms } = admission {
         state
@@ -2917,19 +3125,16 @@ fn stream_endpoint<W: BodySink + ?Sized>(
             .breaker_rejections
             .fetch_add(1, Ordering::Relaxed);
         let secs = retry_after_ms.div_ceil(1000).max(1);
-        return (
-            Route::Translate,
-            Handled::Reply(
-                Response::error_code(
-                    503,
-                    "backend_unavailable",
-                    &format!(
-                        "backend '{}' is unavailable (circuit open)",
-                        item.backend_id
-                    ),
-                )
-                .with_header("Retry-After", secs.to_string()),
-            ),
+        return Handled::Reply(
+            Response::error_code(
+                503,
+                "backend_unavailable",
+                &format!(
+                    "backend '{}' is unavailable (circuit open)",
+                    item.backend_id
+                ),
+            )
+            .with_header("Retry-After", secs.to_string()),
         );
     }
     let (tx, rx) = mpsc::channel::<String>();
@@ -2940,16 +3145,13 @@ fn stream_endpoint<W: BodySink + ?Sized>(
                 item.tenant.breakers[item.backend_idx].probe_aborted();
             }
             state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            return (
-                Route::Translate,
-                Handled::Reply(
-                    Response::error(503, "server overloaded").with_header("Retry-After", "1"),
-                ),
+            return Handled::Reply(
+                Response::error(503, "server overloaded").with_header("Retry-After", "1"),
             );
         }
     };
     if http::write_streaming_head(writer, 200, "application/x-ndjson").is_err() {
-        return (Route::Translate, Handled::Streamed(200));
+        return Handled::Streamed(200);
     }
     // Relay stage lines until the worker hangs up the channel (it drops the
     // sender when the job finishes), then emit the final body. One shared
@@ -2988,7 +3190,7 @@ fn stream_endpoint<W: BodySink + ?Sized>(
                 .and_then(|_| writer.flush());
         }
     }
-    (Route::Translate, Handled::Streamed(200))
+    Handled::Streamed(200)
 }
 
 /// `POST /v1/translate/batch` — `{"requests": [{...}, ...]}` →

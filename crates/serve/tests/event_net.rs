@@ -280,9 +280,10 @@ fn graceful_drain_finishes_in_flight_requests() {
 #[test]
 fn event_and_threaded_drivers_answer_byte_identically() {
     let corpus = generate(&CorpusConfig::tiny(7));
-    let event = spawn_over(&corpus, &[("net", "event")]);
-    let threaded = spawn_over(&corpus, &[("net", "threaded")]);
+    let event = spawn_over(&corpus, &[("net", "event"), ("tenants", "acme:tiny:8")]);
+    let threaded = spawn_over(&corpus, &[("net", "threaded"), ("tenants", "acme:tiny:8")]);
     let db = db0(&corpus);
+    let acme_db = db0(&generate(&CorpusConfig::tiny(8)));
 
     let translate = Json::obj([
         ("nlq", Json::str("show all wages by year")),
@@ -304,6 +305,25 @@ fn event_and_threaded_drivers_answer_byte_identically() {
         ("stream", Json::Bool(true)),
     ])
     .compact();
+    let vegalite = Json::obj([
+        ("nlq", Json::str("show all wages by year")),
+        ("db", Json::str(&db)),
+        ("vegalite", Json::Bool(true)),
+    ])
+    .compact();
+    let acme = Json::obj([
+        ("nlq", Json::str("show all wages by year")),
+        ("db", Json::str(&acme_db)),
+    ])
+    .compact();
+    let body = |nlq: &str, db: &str, backend: &str| {
+        Json::obj([
+            ("nlq", Json::str(nlq)),
+            ("db", Json::str(db)),
+            ("backend", Json::str(backend)),
+        ])
+        .compact()
+    };
 
     // Each case is one raw request; both servers see the identical bytes and
     // must answer with identical bytes (volatile trace id / stage timings
@@ -340,6 +360,45 @@ fn event_and_threaded_drivers_answer_byte_identically() {
             "method-not-allowed",
             request_raw("GET", "/v1/translate", "", true),
         ),
+        // Answered on the event loop: hits and validation errors.
+        (
+            "vegalite-cold",
+            request_raw("POST", "/v1/translate", &vegalite, true),
+        ),
+        (
+            "vegalite-hit",
+            request_raw("POST", "/v1/translate", &vegalite, true),
+        ),
+        (
+            "tenant-cold",
+            request_raw("POST", "/v1/t/acme/translate", &acme, true),
+        ),
+        (
+            "tenant-hit",
+            request_raw("POST", "/v1/t/acme/translate", &acme, true),
+        ),
+        (
+            "unknown-db",
+            request_raw(
+                "POST",
+                "/v1/translate",
+                &body("show all wages", "nope", "gred"),
+                true,
+            ),
+        ),
+        (
+            "unknown-backend",
+            request_raw(
+                "POST",
+                "/v1/translate",
+                &body("show all wages", &db, "nope"),
+                true,
+            ),
+        ),
+        (
+            "empty-nlq",
+            request_raw("POST", "/v1/translate", &body("   ", &db, "gred"), true),
+        ),
     ];
     for (name, raw) in &cases {
         let a = scrub(&roundtrip_to_eof(&event, raw));
@@ -352,6 +411,12 @@ fn event_and_threaded_drivers_answer_byte_identically() {
             String::from_utf8_lossy(&b)
         );
         assert!(status_of(&a) > 0, "case {name} produced no status line");
+        if name.ends_with("-hit") {
+            assert!(
+                String::from_utf8_lossy(&a).contains("x-t2v-cache: hit"),
+                "case {name} missed the cache"
+            );
+        }
     }
 
     // Truncated head: both drivers must produce the same 400 on half-close.
@@ -385,6 +450,225 @@ fn event_and_threaded_drivers_answer_byte_identically() {
         String::from_utf8_lossy(&b)
     );
 
+    // Hit, hit, miss, hit on one keep-alive connection: loop-answered and
+    // dispatched responses interleave in request order.
+    let miss = Json::obj([
+        ("nlq", Json::str("count wages per year")),
+        ("db", Json::str(&db)),
+    ])
+    .compact();
+    let mut mixed = Vec::new();
+    mixed.extend_from_slice(&request_raw("POST", "/v1/translate", &translate, false));
+    mixed.extend_from_slice(&request_raw("POST", "/v1/translate", &translate, false));
+    mixed.extend_from_slice(&request_raw("POST", "/v1/translate", &miss, false));
+    mixed.extend_from_slice(&request_raw("POST", "/v1/translate", &translate, true));
+    let a = scrub(&roundtrip_to_eof(&event, &mixed));
+    let b = scrub(&roundtrip_to_eof(&threaded, &mixed));
+    assert_eq!(
+        a,
+        b,
+        "hit/hit/miss/hit case diverged:\n--- event ---\n{}\n--- threaded ---\n{}",
+        String::from_utf8_lossy(&a),
+        String::from_utf8_lossy(&b)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&a)
+            .matches("x-t2v-cache: hit")
+            .count(),
+        3
+    );
+
+    // A traced hit splices its span tree into the body. Span timings and
+    // ids differ run to run, so compare the tree's shape and the rest of
+    // the response exactly.
+    let traced = format!(
+        "POST /v1/translate HTTP/1.1\r\nHost: test\r\nX-T2V-Trace: 1\r\n\
+         Connection: close\r\nContent-Length: {}\r\n\r\n{translate}",
+        translate.len()
+    );
+    let a = scrub_trace(&roundtrip_to_eof(&event, traced.as_bytes()));
+    let b = scrub_trace(&roundtrip_to_eof(&threaded, traced.as_bytes()));
+    assert_eq!(
+        a,
+        b,
+        "traced-hit case diverged:\n--- event ---\n{}\n--- threaded ---\n{}",
+        String::from_utf8_lossy(&a),
+        String::from_utf8_lossy(&b)
+    );
+    assert!(String::from_utf8_lossy(&a).contains("cache.lookup"));
+
     event.shutdown();
     threaded.shutdown();
+}
+
+/// [`scrub`] for a response whose body carries an inline span tree: drop
+/// the head's `Content-Length` (the tree's timings change the body length)
+/// and reduce the tree to its request-level fields and span shape.
+fn scrub_trace(bytes: &[u8]) -> Vec<u8> {
+    let split = bytes
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .expect("response head")
+        + 4;
+    let (head, body) = bytes.split_at(split);
+    let head: Vec<u8> = scrub(head)
+        .split_inclusive(|&b| b == b'\n')
+        .filter(|line| !line.to_ascii_lowercase().starts_with(b"content-length:"))
+        .flatten()
+        .copied()
+        .collect();
+    let mut doc = Json::parse(std::str::from_utf8(body).expect("UTF-8 body")).expect("JSON body");
+    let tree = doc.get("trace").expect("inline trace").clone();
+    let spans: Vec<Json> = match tree.get("spans") {
+        Some(Json::Arr(spans)) => spans
+            .iter()
+            .map(|s| {
+                Json::obj([
+                    ("stage", s.get("stage").cloned().unwrap_or(Json::Null)),
+                    ("parent", s.get("parent").cloned().unwrap_or(Json::Null)),
+                ])
+            })
+            .collect(),
+        _ => panic!("trace without spans"),
+    };
+    let mut shape = Json::obj([("spans", Json::Arr(spans))]);
+    for key in ["tenant", "backend", "cache", "degraded", "status"] {
+        shape.set(key, tree.get(key).cloned().unwrap_or(Json::Null));
+    }
+    doc.set("trace", shape);
+    let mut out = head;
+    out.extend_from_slice(doc.compact().as_bytes());
+    out
+}
+
+// ---------------------------------------------------------------------------
+// translate requests answered on the loop thread
+// ---------------------------------------------------------------------------
+
+/// `t2v_loop_answered_total` from `/metrics`.
+fn loop_answered(server: &Server) -> u64 {
+    let text = metrics_text(server);
+    text.lines()
+        .find_map(|l| l.strip_prefix("t2v_loop_answered_total "))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no t2v_loop_answered_total in:\n{text}"))
+}
+
+#[test]
+fn only_cache_hits_and_validation_errors_are_answered_on_the_loop() {
+    // No fault plan may be armed meanwhile: an armed plan sends every
+    // request down the dispatch path.
+    let _session = FaultSession::begin();
+    let (corpus, server) = spawn_server(&[]);
+    let db = db0(&corpus);
+    assert_eq!(loop_answered(&server), 0);
+
+    let miss = roundtrip_to_eof(&server, &translate_raw("show all wages", &db, true));
+    assert_eq!(status_of(&miss), 200);
+    assert!(String::from_utf8_lossy(&miss).contains("x-t2v-cache: miss"));
+    let stream = Json::obj([
+        ("nlq", Json::str("show all wages")),
+        ("db", Json::str(&db)),
+        ("stream", Json::Bool(true)),
+    ])
+    .compact();
+    let streamed = roundtrip_to_eof(
+        &server,
+        &request_raw("POST", "/v1/translate", &stream, true),
+    );
+    assert_eq!(status_of(&streamed), 200);
+    let health = roundtrip_to_eof(&server, &request_raw("GET", "/healthz", "", true));
+    assert_eq!(status_of(&health), 200);
+    assert_eq!(
+        loop_answered(&server),
+        0,
+        "a miss, a stream and /healthz all take the dispatch path"
+    );
+
+    let hit = roundtrip_to_eof(&server, &translate_raw("show all wages", &db, true));
+    assert!(String::from_utf8_lossy(&hit).contains("x-t2v-cache: hit"));
+    assert_eq!(loop_answered(&server), 1);
+    let empty = roundtrip_to_eof(&server, &translate_raw("  ", &db, true));
+    assert_eq!(status_of(&empty), 400);
+    assert_eq!(loop_answered(&server), 2);
+
+    let status = roundtrip_to_eof(&server, &request_raw("GET", "/v1/admin/status", "", true));
+    assert!(
+        String::from_utf8_lossy(&status).contains("\"loop_answered\":2"),
+        "{}",
+        String::from_utf8_lossy(&status)
+    );
+    server.shutdown();
+}
+
+/// Read one `Content-Length`-framed response off a keep-alive stream.
+fn read_framed(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Vec<u8> {
+    loop {
+        if let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = String::from_utf8_lossy(&buf[..end]).to_ascii_lowercase();
+            let len: usize = head
+                .lines()
+                .find_map(|l| l.strip_prefix("content-length:"))
+                .and_then(|v| v.trim().parse().ok())
+                .expect("content-length");
+            let total = end + 4 + len;
+            if buf.len() >= total {
+                return buf.drain(..total).collect();
+            }
+        }
+        let mut chunk = [0u8; 64 * 1024];
+        let n = stream.read(&mut chunk).expect("read response");
+        assert!(n > 0, "connection closed mid-pipeline");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+#[test]
+fn five_thousand_pipelined_hits_drain_in_order_without_starving_other_sockets() {
+    // No fault plan may be armed meanwhile: an armed plan sends every
+    // request down the dispatch path.
+    let _session = FaultSession::begin();
+    let (corpus, server) = spawn_server(&[]);
+    let db = db0(&corpus);
+    let questions: Vec<String> = (0..8).map(|i| format!("show wages of year {i}")).collect();
+    // Warm the cache and keep each question's exact keep-alive answer.
+    let mut warm = connect(&server);
+    let mut warm_buf = Vec::new();
+    let expected: Vec<Vec<u8>> = questions
+        .iter()
+        .map(|q| {
+            roundtrip_to_eof(&server, &translate_raw(q, &db, true));
+            warm.write_all(&translate_raw(q, &db, false)).unwrap();
+            scrub(&read_framed(&mut warm, &mut warm_buf))
+        })
+        .collect();
+    drop(warm);
+    let before = loop_answered(&server);
+
+    const N: usize = 5_000;
+    let mut burst = Vec::new();
+    for i in 0..N {
+        burst.extend_from_slice(&translate_raw(&questions[i % questions.len()], &db, false));
+    }
+    let mut stream = connect(&server);
+    let mut writer = stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || writer.write_all(&burst).expect("write burst"));
+
+    let mut buf = Vec::new();
+    let first = read_framed(&mut stream, &mut buf);
+    assert_eq!(scrub(&first), expected[0]);
+    // Another socket is served while the pipeline is still draining.
+    let health = roundtrip_to_eof(&server, &request_raw("GET", "/healthz", "", true));
+    assert_eq!(status_of(&health), 200);
+    for i in 1..N {
+        let got = read_framed(&mut stream, &mut buf);
+        assert!(
+            scrub(&got) == expected[i % questions.len()],
+            "response {i} out of order or torn:\n{}",
+            String::from_utf8_lossy(&got)
+        );
+    }
+    sender.join().expect("sender");
+    assert_eq!(loop_answered(&server) - before, N as u64);
+    server.shutdown();
 }

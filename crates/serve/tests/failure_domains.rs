@@ -474,3 +474,67 @@ fn corrupted_snapshot_reads_fail_with_structured_errors() {
     std::fs::remove_dir_all(&dir).ok();
     server.shutdown();
 }
+
+#[test]
+fn a_write_stall_delays_its_own_response_but_never_the_event_loop() {
+    let _session = FaultSession::begin();
+    let (corpus, server) = spawn_server(&[]);
+    let db = db0(&corpus);
+    // A cached answer: unarmed, it would be answered on the loop thread.
+    let mut warm = Client::connect(&server);
+    assert_eq!(warm.translate("show wages now", &db, "gred").status, 200);
+    t2v_fault::arm(&FaultPlan::parse("seed=31;conn.write_stall:ms=300,count=1").unwrap());
+
+    // The first response after arming eats the 300 ms stall.
+    let mut stalled = Client::connect(&server);
+    let body = Json::obj([
+        ("nlq", Json::str("show wages now")),
+        ("db", Json::str(&db)),
+        ("backend", Json::str("gred")),
+    ])
+    .compact();
+    let started = Instant::now();
+    write!(
+        stalled.writer,
+        "POST /v1/translate HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let held = std::thread::spawn(move || {
+        let reply = stalled.read_reply().expect("stalled reply");
+        (reply.status, started.elapsed())
+    });
+    std::thread::sleep(Duration::from_millis(20));
+    let mut probe = Client::connect(&server);
+    let fired = "t2v_faults_injected_total{point=\"conn.write_stall\"} 1";
+    while !probe.metrics().contains(fired) {
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "stall never fired"
+        );
+    }
+
+    // While that response is held, the same cached question on another
+    // connection answers promptly.
+    let t = Instant::now();
+    let reply = probe.translate("show wages now", &db, "gred");
+    let prompt = t.elapsed();
+    assert_eq!(reply.status, 200);
+    assert_eq!(
+        reply.headers.get("x-t2v-cache").map(String::as_str),
+        Some("hit")
+    );
+    assert!(
+        !held.is_finished(),
+        "the probe ({prompt:?}) should answer while the stall still holds"
+    );
+    assert!(prompt < Duration::from_millis(300), "probe took {prompt:?}");
+
+    let (status, elapsed) = held.join().expect("stalled client");
+    assert_eq!(status, 200);
+    assert!(
+        elapsed >= Duration::from_millis(300),
+        "stall lasted {elapsed:?}"
+    );
+    server.shutdown();
+}
